@@ -50,7 +50,7 @@ void BM_SelfRescheduling(benchmark::State& state) {
 BENCHMARK(BM_SelfRescheduling)->Arg(10000);
 
 void BM_ProcessContextSwitch(benchmark::State& state) {
-  // Each advance() is two OS-level handoffs (engine->proc->engine).
+  // Each advance() is two fiber switches (engine->proc->engine).
   const int hops = static_cast<int>(state.range(0));
   for (auto _ : state) {
     Engine eng;
@@ -64,6 +64,50 @@ void BM_ProcessContextSwitch(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * hops);
 }
 BENCHMARK(BM_ProcessContextSwitch)->Arg(200);
+
+void BM_ProcessPingPong(benchmark::State& state) {
+  // VL_uBMK's pingpong shape: per round, "ping" hands `burst` messages to
+  // "pong" and waits for `burst` back. Every message is a Signal handoff
+  // between the two processes, so this is the cross-context handoff cost.
+  const int rounds = static_cast<int>(state.range(0));
+  const int burst = static_cast<int>(state.range(1));
+  for (auto _ : state) {
+    Engine eng;
+    Signal toPong(eng);
+    Signal toPing(eng);
+    int pongInbox = 0;
+    int pingInbox = 0;
+    auto send = [&](int& inbox, Signal& s) {
+      for (int b = 0; b < burst; ++b) {
+        ++inbox;
+        s.notifyAll();
+        eng.currentProcess()->advance(1);  // let the peer take it
+      }
+    };
+    auto receive = [&](int& inbox, Signal& s) {
+      for (int b = 0; b < burst; ++b) {
+        while (inbox == 0) eng.currentProcess()->await(s);
+        --inbox;
+      }
+    };
+    Process ping(eng, "ping", [&] {
+      for (int r = 0; r < rounds; ++r) {
+        send(pongInbox, toPong);
+        receive(pingInbox, toPing);
+      }
+    });
+    Process pong(eng, "pong", [&] {
+      for (int r = 0; r < rounds; ++r) {
+        receive(pongInbox, toPong);
+        send(pingInbox, toPing);
+      }
+    });
+    eng.run();
+  }
+  state.SetItemsProcessed(state.iterations() * 2 * rounds * burst);
+}
+// VL_uBMK's default (10 rounds of 7), then one- and many-message bursts.
+BENCHMARK(BM_ProcessPingPong)->Args({10, 7})->Args({100, 1})->Args({100, 16});
 
 void BM_ResourceAcquire(benchmark::State& state) {
   Resource r("bench");

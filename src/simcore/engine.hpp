@@ -182,10 +182,12 @@ class Engine {
   /// (time, seq) is a total order.
   void compactIfStale();
   // Debug guard against two sweep shards driving one Engine at once. It is
-  // deliberately not a thread-id check: cooperative Process handoff means
-  // several OS threads legitimately touch the Engine one at a time, and the
-  // flag stays set across a handoff (the run loop is blocked inside fn()),
-  // so only genuinely concurrent run()/runWindow() entry trips it.
+  // deliberately not a thread-id check: a ShardedEngine drives a domain's
+  // Engine (and resumes its Process fibers) from a fresh worker thread on
+  // every run, so several OS threads legitimately touch the Engine one at
+  // a time. The flag stays set while a fiber runs (the run loop is
+  // suspended inside fn(), on the same OS thread), so only genuinely
+  // concurrent run()/runWindow() entry trips it.
   struct DriveGuard {
 #ifndef NDEBUG
     explicit DriveGuard(Engine& e) : engine(e) {

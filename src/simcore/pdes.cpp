@@ -214,18 +214,20 @@ void ShardedEngine::pushRunnable(std::uint32_t d, SimTime t) {
 
 /// Start of the next window: the earliest key over the shard heaps.
 /// A superseded duplicate at a heap top only costs an empty window round
-/// — except under a boundary hook, which must be handed a real event
-/// time: a stale key may even lie past the last event, where the hook
-/// would sample boundaries beyond the end of the run. So with a hook the
-/// superseded heads are dropped first, and every window starts exactly
-/// at the earliest pending event. Single-threaded (run loop or barrier
-/// completion step).
-SimTime ShardedEngine::nextWindowStart() {
+/// — except where it would be taken for a real event time. Under a
+/// boundary hook it may lie past the last event, where the hook would
+/// sample boundaries beyond the end of the run; and a superseded key past
+/// `horizon` would make runUntil report "not drained" (skipping its
+/// deadlock check) with nothing pending. So superseded heads are dropped
+/// under a hook, and otherwise only once they lie past the horizon — no
+/// window starts there, so the unhooked window schedule is unchanged.
+/// Single-threaded (run loop or barrier completion step).
+SimTime ShardedEngine::nextWindowStart(SimTime horizon) {
   SimTime t = kNoEvent;
   for (Shard& sh : perShard_) {
     auto& h = sh.runnable;
-    while (boundaryFlush_ && !h.empty() &&
-           h.front().first != domains_[h.front().second].key) {
+    while (!h.empty() && h.front().first != domains_[h.front().second].key &&
+           (boundaryFlush_ || h.front().first > horizon)) {
       std::pop_heap(h.begin(), h.end(), std::greater<>{});
       h.pop_back();
     }
@@ -292,7 +294,7 @@ void ShardedEngine::deliverOutboxes() {
 bool ShardedEngine::runWindows(SimTime horizon) {
   initRunnable();
   for (;;) {
-    const SimTime t = nextWindowStart();
+    const SimTime t = nextWindowStart(horizon);
     if (t == kNoEvent) return true;
     if (t > horizon) return false;
     Duration eff = lookahead_ > 0 ? lookahead_ : 1;
@@ -328,7 +330,7 @@ bool ShardedEngine::runWindowsParallel(SimTime horizon) {
       return;
     }
     // O(shards) reduce over the heap tops, not an O(domains) rescan.
-    const SimTime t = nextWindowStart();
+    const SimTime t = nextWindowStart(horizon_);
     if (t == kNoEvent) {
       drained_ = true;
       done_ = true;

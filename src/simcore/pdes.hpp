@@ -197,7 +197,8 @@ class ShardedEngine {
   // (a superseded entry surfaces first); the pop re-checks the real next
   // time and re-files, costing at worst an empty window round
   // (nextWindowStart drops them first under a boundary hook, which needs
-  // real event times). Rebuilt at every run entry. Nothing can schedule
+  // real event times, and past the runUntil horizon, where they would
+  // read as pending work). Rebuilt at every run entry. Nothing can schedule
   // behind the heaps' backs: during a run every domain engine is in
   // windowed mode, so a boundary hook (which runs while all of them are
   // parked) cannot postAt or cancel.
@@ -229,7 +230,7 @@ class ShardedEngine {
   void markOutboxDirty(std::uint32_t src);
   void initRunnable();
   void pushRunnable(std::uint32_t d, SimTime t);
-  SimTime nextWindowStart();
+  SimTime nextWindowStart(SimTime horizon);
   std::uint64_t execShardWindow(unsigned shard, SimTime windowEnd);
 
   std::vector<Domain> domains_;  // each holds its domain's engine

@@ -1,61 +1,165 @@
 #include "simcore/process.hpp"
 
+#include <pthread.h>
+#include <sys/mman.h>
+#include <unistd.h>
+
 #include <cassert>
+#include <cstdint>
+#include <cxxabi.h>
+
+#if defined(__SANITIZE_ADDRESS__)
+#include <sanitizer/asan_interface.h>
+#endif
+#if defined(__SANITIZE_THREAD__)
+#include <sanitizer/tsan_interface.h>
+#endif
 
 namespace vibe::sim {
 
+namespace {
+
+/// libstdc++'s per-thread exception state (__cxa_eh_globals in its
+/// unwind-cxx.h): the caught-exception stack and the uncaught count.
+struct EhGlobals {
+  void* caughtExceptions;
+  unsigned int uncaughtExceptions;
+};
+
+EhGlobals* ehGlobals() {
+  return reinterpret_cast<EhGlobals*>(abi::__cxa_get_globals());
+}
+
+/// The stack a default pthread gets (RLIMIT_STACK at startup), so a node
+/// program may recurse as deeply as it could on a thread of its own.
+std::size_t fiberStackBytes() {
+  static const std::size_t bytes = [] {
+    std::size_t size = std::size_t{8} << 20;
+    pthread_attr_t attr;
+    if (pthread_getattr_default_np(&attr) == 0) {
+      pthread_attr_getstacksize(&attr, &size);
+      pthread_attr_destroy(&attr);
+    }
+    return size;
+  }();
+  return bytes;
+}
+
+}  // namespace
+
 Process::Process(Engine& engine, std::string name, std::function<void()> body)
-    : engine_(engine), name_(std::move(name)) {
+    : engine_(engine), name_(std::move(name)), body_(std::move(body)) {
+  const auto guard = static_cast<std::size_t>(sysconf(_SC_PAGESIZE));
+  mapBytes_ = guard + fiberStackBytes();
+  map_ = mmap(nullptr, mapBytes_, PROT_READ | PROT_WRITE,
+              MAP_PRIVATE | MAP_ANONYMOUS | MAP_NORESERVE | MAP_STACK, -1, 0);
+  if (map_ == MAP_FAILED) {
+    throw SimError("Process " + name_ + ": cannot map a fiber stack");
+  }
+  if (mprotect(map_, guard, PROT_NONE) != 0) {
+    munmap(map_, mapBytes_);
+    throw SimError("Process " + name_ + ": cannot protect the stack guard");
+  }
+  getcontext(&ctx_);
+  ctx_.uc_stack.ss_sp = static_cast<char*>(map_) + guard;
+  ctx_.uc_stack.ss_size = mapBytes_ - guard;
+  ctx_.uc_link = nullptr;  // fiberMain never returns
+  const auto self = reinterpret_cast<std::uintptr_t>(this);
+  makecontext(&ctx_, reinterpret_cast<void (*)()>(&Process::fiberEntry), 2,
+              static_cast<unsigned>(self >> 32), static_cast<unsigned>(self));
+#if defined(__SANITIZE_THREAD__)
+  tsanFiber_ = __tsan_create_fiber(0);
+  __tsan_set_fiber_name(tsanFiber_, name_.c_str());
+#endif
   engine_.registerProcess(this);
-  thread_ = std::thread(&Process::threadMain, this, std::move(body));
-  state_ = State::Ready;
   engine_.post(0, [this] { resume(); });
 }
 
 Process::~Process() {
-  if (state_ != State::Finished) {
-    // Forced shutdown (e.g. a failed run): unwind the body via Killed.
-    std::unique_lock lk(mutex_);
+  if (started_ && state_ != State::Finished) {
+    // Forced shutdown (e.g. a failed run): unwind the body via Killed. A
+    // failure raised while unwinding is dropped with the process.
     killed_ = true;
-    turn_ = Turn::Proc;
-    cv_.notify_all();
-    cv_.wait(lk, [&] { return turn_ == Turn::Engine; });
+    switchIn();
+    assert(state_ == State::Finished);
   }
-  if (thread_.joinable()) thread_.join();
+#if defined(__SANITIZE_THREAD__)
+  __tsan_destroy_fiber(tsanFiber_);
+#endif
+#if defined(__SANITIZE_ADDRESS__)
+  // Frames the fiber left behind keep poisoned shadow; clear it before
+  // the range can be mapped again.
+  ASAN_UNPOISON_MEMORY_REGION(map_, mapBytes_);
+#endif
+  munmap(map_, mapBytes_);
   engine_.unregisterProcess(this);
 }
 
-void Process::threadMain(std::function<void()> body) {
+void Process::fiberEntry(unsigned hi, unsigned lo) {
+  const auto self =
+      (static_cast<std::uintptr_t>(hi) << 32) | static_cast<std::uintptr_t>(lo);
+  reinterpret_cast<Process*>(self)->fiberMain();
+}
+
+void Process::fiberMain() {
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(nullptr, &callerStack_, &callerStackBytes_);
+#endif
   {
-    std::unique_lock lk(mutex_);
-    cv_.wait(lk, [&] { return turn_ == Turn::Proc; });
+    // The body (and its captures) lives and dies on the fiber.
+    const std::function<void()> body = std::move(body_);
+    try {
+      state_ = State::Running;
+      body();
+    } catch (Killed&) {
+      // forced shutdown — unwound cleanly
+    } catch (...) {
+      failure_ = std::current_exception();
+    }
   }
-  try {
-    if (killed_) throw Killed{};
-    state_ = State::Running;
-    body();
-  } catch (Killed&) {
-    // forced shutdown — unwound cleanly
-  } catch (...) {
-    failure_ = std::current_exception();
-  }
-  std::unique_lock lk(mutex_);
   state_ = State::Finished;
-  turn_ = Turn::Engine;
-  cv_.notify_all();
+  // Leave for good: the fiber's stack is dead from here on.
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(nullptr, callerStack_, callerStackBytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(tsanCaller_, 0);
+#endif
+  setcontext(&caller_);
+}
+
+void Process::switchIn() {
+  started_ = true;
+  Process* prev = engine_.current_;
+  engine_.current_ = this;
+  // The caller stays on this OS thread until the fiber yields back, so one
+  // lookup serves both directions of the exception-state swap.
+  EhGlobals* eh = ehGlobals();
+  const EhGlobals outer = *eh;
+  eh->caughtExceptions = ehCaught_;
+  eh->uncaughtExceptions = ehUncaught_;
+#if defined(__SANITIZE_ADDRESS__)
+  void* fakeStack = nullptr;
+  __sanitizer_start_switch_fiber(&fakeStack, ctx_.uc_stack.ss_sp,
+                                 ctx_.uc_stack.ss_size);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  tsanCaller_ = __tsan_get_current_fiber();
+  __tsan_switch_to_fiber(tsanFiber_, 0);
+#endif
+  swapcontext(&caller_, &ctx_);
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_finish_switch_fiber(fakeStack, nullptr, nullptr);
+#endif
+  ehCaught_ = eh->caughtExceptions;
+  ehUncaught_ = eh->uncaughtExceptions;
+  *eh = outer;
+  engine_.current_ = prev;
 }
 
 void Process::resume() {
   assert(state_ == State::Ready || state_ == State::Blocked);
-  Process* prev = engine_.current_;
-  engine_.current_ = this;
-  {
-    std::unique_lock lk(mutex_);
-    turn_ = Turn::Proc;
-    cv_.notify_all();
-    cv_.wait(lk, [&] { return turn_ == Turn::Engine; });
-  }
-  engine_.current_ = prev;
+  switchIn();
   if (failure_) {
     auto f = failure_;
     failure_ = nullptr;
@@ -64,21 +168,33 @@ void Process::resume() {
 }
 
 void Process::yieldToEngine() {
-  std::unique_lock lk(mutex_);
-  turn_ = Turn::Engine;
-  cv_.notify_all();
-  cv_.wait(lk, [&] { return turn_ == Turn::Proc; });
+#if defined(__SANITIZE_ADDRESS__)
+  __sanitizer_start_switch_fiber(&asanFakeStack_, callerStack_,
+                                 callerStackBytes_);
+#endif
+#if defined(__SANITIZE_THREAD__)
+  __tsan_switch_to_fiber(tsanCaller_, 0);
+#endif
+  swapcontext(&ctx_, &caller_);
+#if defined(__SANITIZE_ADDRESS__)
+  // The next resume may come from another thread's stack.
+  __sanitizer_finish_switch_fiber(asanFakeStack_, &callerStack_,
+                                  &callerStackBytes_);
+#endif
   if (killed_) throw Killed{};
   state_ = State::Running;
 }
 
-void Process::assertOnProcessThread() const {
-  assert(std::this_thread::get_id() == thread_.get_id() &&
+void Process::enterBodyCall() {
+  assert(engine_.current_ == this &&
          "Process API called from outside the process body");
+  // A killed body that blocks again while unwinding (e.g. a destructor that
+  // advances) must not park: nothing would ever resume it.
+  if (killed_) throw Killed{};
 }
 
 void Process::advance(Duration d, CpuUse use) {
-  assertOnProcessThread();
+  enterBodyCall();
   if (d < 0) throw SimError("Process::advance: negative duration");
   if (use == CpuUse::Busy) cpuBusy_ += d;
   if (d == 0) return;  // nothing can interleave at zero cost; skip the yield
@@ -88,7 +204,7 @@ void Process::advance(Duration d, CpuUse use) {
 }
 
 bool Process::awaitFor(Signal& s, Duration timeout) {
-  assertOnProcessThread();
+  enterBodyCall();
   const std::uint64_t epoch = ++waitEpoch_;
   waitSignalled_ = false;
   s.addWaiter(this, epoch);

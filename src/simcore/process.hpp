@@ -1,24 +1,34 @@
 // Cooperative simulated processes.
 //
-// A Process runs user code (a benchmark node program) on a dedicated OS
-// thread, but execution interleaves cooperatively with the Engine: control
-// is handed back and forth through a mutex/condvar pair so exactly one of
-// {engine, some process} runs at any instant. User code experiences a
-// synchronous, blocking API (advance / await) while the engine stays a pure
-// discrete-event core underneath.
+// A Process runs user code (a benchmark node program) as a fiber: a
+// stackful user-space context with its own lazily committed stack, switched
+// with swapcontext. Execution interleaves cooperatively with the Engine —
+// an engine event resumes the fiber, and the body runs on the engine's OS
+// thread until it yields back from advance() / await() — so exactly one of
+// {engine, some process} runs at any instant and a handoff costs a register
+// swap, not a kernel wakeup. User code experiences a synchronous, blocking
+// API (advance / await) while the engine stays a pure discrete-event core
+// underneath.
+//
+// A fiber is not tied to an OS thread: a ShardedEngine starts a fresh
+// worker pool on every run, so a process may be resumed on a different
+// thread than the one it last ran on. Every switch therefore carries the
+// fiber's libstdc++ exception state (caught-exception stack, uncaught
+// count) with it, and, in sanitizer builds, tells ASan/TSan about the
+// stack change.
 //
 // CPU accounting: advance(d, CpuUse::Busy) accrues the process's busy
 // counter — the simulated getrusage() that the paper's CPU-utilization
 // micro-benchmarks read. Blocking in await() is idle time.
 #pragma once
 
-#include <condition_variable>
+#include <ucontext.h>
+
+#include <cstddef>
 #include <cstdint>
 #include <exception>
 #include <functional>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -36,6 +46,9 @@ class Process {
   /// Creates the process and schedules its body to start at engine.now().
   /// Lifetime contract: the Process must be destroyed before the Engine.
   Process(Engine& engine, std::string name, std::function<void()> body);
+  /// Destroying an unfinished process (a forced shutdown, e.g. after a
+  /// DeadlockError) unwinds its body by throwing Killed into it; during
+  /// that unwind advance()/await*() throw Killed again instead of yielding.
   ~Process();
 
   Process(const Process&) = delete;
@@ -83,34 +96,35 @@ class Process {
   friend class Signal;
 
   enum class State : std::uint8_t {
-    Created,   // thread exists, body not yet started
-    Ready,     // a resume event is queued
+    Ready,     // a resume event is queued (or the body has not started)
     Running,   // body is executing right now
     Blocked,   // waiting on a Signal (and possibly a timeout)
     Finished,  // body returned or was killed
   };
 
-  enum class Turn : std::uint8_t { Engine, Proc };
-
   struct Killed {};  // thrown into the body to unwind on forced shutdown
 
-  void threadMain(std::function<void()> body);
-  /// Engine side: transfer control to the process until it yields.
+  /// makecontext entry point; `hi`/`lo` carry the Process pointer.
+  static void fiberEntry(unsigned hi, unsigned lo);
+  void fiberMain();
+  /// Engine side: run the fiber until it yields or finishes.
+  void switchIn();
+  /// switchIn(), then rethrow whatever escaped the body.
   void resume();
-  /// Process side: return control to the engine; blocks until resumed.
+  /// Process side: return control to whoever resumed the fiber; throws
+  /// Killed if the process was killed meanwhile.
   void yieldToEngine();
   /// Wake path shared by Signal delivery and await timeouts.
   void wakeFromWait(std::uint64_t epoch, bool signalled);
-  void assertOnProcessThread() const;
+  /// Process-side API guard: throws Killed during forced shutdown.
+  void enterBodyCall();
 
   Engine& engine_;
   std::string name_;
   Duration cpuBusy_ = 0;
 
-  State state_ = State::Created;
-  std::mutex mutex_;
-  std::condition_variable cv_;
-  Turn turn_ = Turn::Engine;
+  State state_ = State::Ready;
+  bool started_ = false;
   bool killed_ = false;
   std::exception_ptr failure_;
 
@@ -119,7 +133,25 @@ class Process {
   bool waitSignalled_ = false;
   EventId timeoutEvent_ = 0;
 
-  std::thread thread_;
+  // The fiber. The stack is one mmap: a PROT_NONE guard page at the low
+  // end, then pages committed only as the body touches them.
+  std::function<void()> body_;  // moved onto the fiber when it starts
+  // Zeroed so that uc_stack is empty wherever makecontext did not set it
+  // (ASan's swapcontext interceptor reads it).
+  ucontext_t ctx_{};     // the body, while parked
+  ucontext_t caller_{};  // whoever resumed it, while the body runs
+  void* map_ = nullptr;
+  std::size_t mapBytes_ = 0;
+  // libstdc++'s per-thread exception state belonging to the fiber, held
+  // here while it is parked.
+  void* ehCaught_ = nullptr;
+  unsigned ehUncaught_ = 0;
+  // Sanitizer fiber bookkeeping; untouched in plain builds.
+  void* asanFakeStack_ = nullptr;
+  const void* callerStack_ = nullptr;
+  std::size_t callerStackBytes_ = 0;
+  void* tsanFiber_ = nullptr;
+  void* tsanCaller_ = nullptr;
 };
 
 /// A broadcast wakeup primitive in virtual time. notifyAll() releases every

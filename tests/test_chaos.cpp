@@ -15,6 +15,7 @@
 #include <algorithm>
 #include <cstdlib>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -428,6 +429,10 @@ struct SweepCase {
   const char* name;
   WorkloadFn fn;
 };
+
+// Without this, gtest prints the case as raw bytes, and those bytes are the
+// two pointers above: ASLR makes the registered test names differ per run.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class ChaosSweep : public ::testing::TestWithParam<SweepCase> {};
 

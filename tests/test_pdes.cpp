@@ -28,6 +28,7 @@
 
 #include "simcore/engine.hpp"
 #include "simcore/pdes.hpp"
+#include "simcore/process.hpp"
 #include "simcore/prng.hpp"
 #include "simcore/trace.hpp"
 #include "test_env.hpp"
@@ -446,6 +447,38 @@ TEST(ShardedEngineRunUntil, HorizonPartitionsTheRun) {
     build(whole, wholeFiredBy);
     whole.run();
     EXPECT_EQ(fired, gather(wholeFiredBy));
+  }
+}
+
+// Without a boundary hook a superseded runnable-heap key can be all that
+// is left past the horizon: domain 1's 10 us timer key is superseded by a
+// merged arrival at 200 ns that cancels the timer. runUntil must still
+// report the drain, keep the window schedule it had, and so reach its
+// deadlock check.
+TEST(ShardedEngineRunUntil, SupersededKeyPastHorizonStillDrains) {
+  auto build = [](ShardedEngine& eng) {
+    sim::Engine& d1 = eng.domainEngine(1);
+    const sim::EventId timer = d1.postAt(10'000, [] {});
+    eng.domainEngine(0).postAt(100, [&eng, &d1, timer] {
+      eng.sendAt(0, 1, 200, [&d1, timer] { EXPECT_TRUE(d1.cancel(timer)); });
+    });
+  };
+  for (unsigned shards : {1u, 2u}) {
+    ShardedEngine eng({.domains = 2, .lookahead = 50, .shards = shards});
+    build(eng);
+    EXPECT_TRUE(eng.runUntil(5'000)) << "shards=" << shards;
+    EXPECT_EQ(eng.pendingEvents(), 0u);
+    EXPECT_EQ(eng.windowsExecuted(), 2u) << "shards=" << shards;
+    EXPECT_EQ(eng.maxNow(), 5'000);
+
+    ShardedEngine stuck({.domains = 2, .lookahead = 50, .shards = shards});
+    build(stuck);
+    sim::Engine& d1 = stuck.domainEngine(1);
+    sim::Signal never(d1);
+    sim::Process waiter(d1, "waiter",
+                        [&] { d1.currentProcess()->await(never); });
+    EXPECT_THROW(stuck.runUntil(5'000), sim::DeadlockError)
+        << "shards=" << shards;
   }
 }
 

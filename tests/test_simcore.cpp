@@ -2,8 +2,11 @@
 // statistics, and the deterministic PRNG.
 #include <gtest/gtest.h>
 
+#include <cstddef>
+#include <exception>
 #include <memory>
 #include <stdexcept>
+#include <string>
 #include <vector>
 
 #include "simcore/engine.hpp"
@@ -384,11 +387,178 @@ TEST(ProcessTest, BodyExceptionPropagatesOutOfRun) {
 
 TEST(ProcessTest, UnstartedProcessIsKilledCleanlyOnDestruction) {
   Engine eng;
+  bool ran = false;
+  auto capture = std::make_shared<int>(0);
   {
-    Process p(eng, "never-run", [&] { eng.currentProcess()->advance(1); });
-    // Engine never runs; destructor must unwind the thread without hanging.
+    Process p(eng, "never-run", [&ran, &eng, capture] {
+      ran = true;
+      eng.currentProcess()->advance(1);
+    });
+    EXPECT_EQ(capture.use_count(), 2);
+    // Engine never runs; the destructor frees the fiber without entering it.
   }
-  SUCCEED();
+  EXPECT_FALSE(ran);
+  EXPECT_EQ(capture.use_count(), 1);  // the body's captures went with it
+}
+
+TEST(ProcessTest, BodyExceptionAfterSeveralYieldsReachesRun) {
+  Engine eng;
+  Process p(eng, "late-thrower", [&] {
+    Process& self = *eng.currentProcess();
+    for (int i = 0; i < 5; ++i) self.advance(usec(2));
+    throw std::logic_error("thrown at t=" + std::to_string(eng.now()));
+  });
+  try {
+    eng.run();
+    FAIL() << "expected the body's exception";
+  } catch (const std::logic_error& e) {
+    EXPECT_STREQ(e.what(), "thrown at t=10000");
+  }
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(eng.now(), usec(10));
+}
+
+// Each fiber keeps its own caught-exception stack and uncaught count:
+// both processes park inside a catch block (and one inside a destructor
+// running during unwinding) while the other throws and catches, and each
+// must rethrow its own exception when it resumes.
+TEST(ProcessTest, ExceptionStateIsPerProcess) {
+  Engine eng;
+  struct AdvanceOnUnwind {
+    Process& self;
+    int& seenUncaught;
+    ~AdvanceOnUnwind() {
+      seenUncaught = std::uncaught_exceptions();
+      self.advance(usec(5));
+    }
+  };
+  std::vector<std::string> rethrown;
+  int unwindUncaught = -1;
+  int otherUncaught = -1;
+  auto body = [&](const std::string& tag, Duration pause) {
+    return [&, tag, pause] {
+      Process& self = *eng.currentProcess();
+      for (int i = 0; i < 3; ++i) {
+        try {
+          throw std::runtime_error(tag + std::to_string(i));
+        } catch (const std::runtime_error&) {
+          self.advance(pause);  // the other process throws meanwhile
+          try {
+            throw;
+          } catch (const std::runtime_error& again) {
+            rethrown.push_back(again.what());
+          }
+        }
+      }
+      if (tag == "a") {
+        try {
+          AdvanceOnUnwind guard{self, unwindUncaught};
+          throw std::runtime_error("unwinding");
+        } catch (const std::runtime_error&) {
+        }
+      } else {
+        self.advance(usec(1));  // lands while "a" is parked mid-unwind
+        otherUncaught = std::uncaught_exceptions();
+      }
+    };
+  };
+  Process a(eng, "a", body("a", usec(2)));
+  Process b(eng, "b", body("b", usec(3)));
+  eng.run();
+  EXPECT_EQ(rethrown, (std::vector<std::string>{"a0", "b0", "a1", "b1", "a2",
+                                                "b2"}));
+  EXPECT_EQ(unwindUncaught, 1);
+  EXPECT_EQ(otherUncaught, 0);
+  EXPECT_EQ(std::uncaught_exceptions(), 0);
+}
+
+// About 1 MB of stack at depth 1024; the sum keeps every frame live.
+std::size_t deepSum(int depth) {
+  volatile unsigned char frame[1024];
+  for (volatile unsigned char& b : frame) b = static_cast<unsigned char>(depth);
+  if (depth == 0) return 0;
+  return deepSum(depth - 1) + frame[depth % 1024];
+}
+
+TEST(ProcessTest, DeepRecursionFitsOnTheProcessStack) {
+  Engine eng;
+  std::size_t before = 0;
+  std::size_t after = 0;
+  Process p(eng, "deep", [&] {
+    before = deepSum(1024);
+    eng.currentProcess()->advance(usec(1));
+    after = deepSum(1024);
+  });
+  eng.run();
+  EXPECT_EQ(before, 130560u);  // 4 * (0 + 1 + ... + 255)
+  EXPECT_EQ(after, before);
+}
+
+// ShardedEngine starts a new worker pool on every run, so a process on
+// shard 1 is resumed by a different OS thread after each runUntil. Parking
+// inside a catch block across the two runs also moves its exception state.
+TEST(ProcessTest, SurvivesResumptionOnANewWorkerThread) {
+  ShardedEngine pdes({.domains = 2, .lookahead = 100, .shards = 2});
+  ASSERT_EQ(pdes.shardOf(1), 1u);
+  Engine& eng = pdes.domainEngine(1);
+  std::vector<SimTime> seen;
+  std::vector<std::string> rethrown;
+  Process p(eng, "migrant", [&] {
+    Process& self = *eng.currentProcess();
+    for (int i = 0; i < 4; ++i) {
+      try {
+        throw std::runtime_error("hop" + std::to_string(i));
+      } catch (const std::runtime_error&) {
+        self.advance(usec(1));
+        try {
+          throw;
+        } catch (const std::runtime_error& again) {
+          rethrown.push_back(again.what());
+        }
+      }
+      seen.push_back(eng.now());
+    }
+  });
+  EXPECT_FALSE(pdes.runUntil(usec(2)));  // parked in a catch block
+  EXPECT_FALSE(p.finished());
+  EXPECT_TRUE(pdes.runUntil(usec(100)));
+  EXPECT_TRUE(p.finished());
+  EXPECT_EQ(seen, (std::vector<SimTime>{usec(1), usec(2), usec(3), usec(4)}));
+  EXPECT_EQ(rethrown,
+            (std::vector<std::string>{"hop0", "hop1", "hop2", "hop3"}));
+}
+
+// Forced shutdown of a body whose unwinding yields again (here a guard
+// whose destructor advances inside try/catch, as ~StreamSocket's close()
+// does): the advance must throw instead of parking the fiber for good, so
+// the Process destructor returns.
+TEST(ProcessTest, KilledBodyThatYieldsWhileUnwindingIsDestroyed) {
+  Engine eng;
+  Signal never(eng);
+  bool guardRan = false;
+  bool advanceThrew = false;
+  struct AdvanceOnDestruction {
+    Process& self;
+    bool& ran;
+    bool& threw;
+    ~AdvanceOnDestruction() {
+      ran = true;
+      try {
+        self.advance(usec(1));
+      } catch (...) {
+        threw = true;
+      }
+    }
+  };
+  auto p = std::make_unique<Process>(eng, "stuck", [&] {
+    AdvanceOnDestruction guard{*eng.currentProcess(), guardRan, advanceThrew};
+    eng.currentProcess()->await(never);
+  });
+  EXPECT_THROW(eng.run(), DeadlockError);
+  p.reset();  // returns: the guard's advance threw Killed instead of parking
+  EXPECT_TRUE(guardRan);
+  EXPECT_TRUE(advanceThrew);
+  EXPECT_EQ(eng.pendingEvents(), 0u);  // and posted nothing
 }
 
 TEST(ResourceTest, PipelinesBackToBackWork) {
