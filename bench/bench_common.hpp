@@ -1,16 +1,22 @@
 // Shared helpers for the VIBe bench binaries: the three paper profiles,
-// paper-reference printing, and result assembly.
+// paper-reference printing, result assembly, and the shard-sweep driver
+// behind the standalone scale demos.
 #pragma once
 
+#include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <functional>
 #include <string>
 #include <string_view>
+#include <thread>
 #include <vector>
 
 #include "harness/sweep.hpp"
 #include "nic/profiles.hpp"
 #include "obs/metrics.hpp"
+#include "simcore/pdes.hpp"
+#include "simcore/trace.hpp"
 #include "vibe/cluster.hpp"
 #include "vibe/report.hpp"
 #include "vibe/results.hpp"
@@ -161,6 +167,113 @@ inline void printHeader(const std::string& what, const std::string& paperRef) {
   std::printf("# VIBe reproduction: %s\n", what.c_str());
   std::printf("# Paper reference: %s\n", paperRef.c_str());
   std::printf("############################################################\n");
+}
+
+/// Engine-mode witness of one cluster run: the virtual end time, a fold
+/// of every node's NicStats, and the engine's executed events and
+/// windows. Identical witnesses across shard counts mean the runs
+/// executed the same per-domain schedules, not merely similar ones.
+struct RunWitness {
+  sim::SimTime endTime = 0;
+  std::uint64_t nicDigest = 0;
+  std::uint64_t events = 0;
+  std::uint64_t windows = 0;
+
+  bool operator==(const RunWitness&) const = default;
+};
+
+/// Witness of `cluster` after its run().
+inline RunWitness witnessOf(suite::Cluster& cluster) {
+  RunWitness w;
+  w.endTime = cluster.now();
+  w.nicDigest = 0xcbf29ce484222325ull;
+  for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
+    const nic::NicStats& s = cluster.node(n).device().stats();
+    for (std::uint64_t v :
+         {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
+          s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
+          s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
+          s.rxOutOfOrderDropped, s.protocolErrors}) {
+      w.nicDigest = sim::Tracer::combineDigest(w.nicDigest, v);
+    }
+  }
+  w.events = cluster.shardedEngine().executedEvents();
+  w.windows = cluster.shardedEngine().windowsExecuted();
+  return w;
+}
+
+/// One demo-specific column of a shard sweep, printed as %12.*f.
+struct DemoColumn {
+  const char* name;
+  int precision;
+};
+
+/// Standalone scale demo driver (wall-clock columns cannot be golden):
+/// runs `runOnce(shards, witness)` at worker shard counts 1, 2, 4 (plus
+/// shardCount() when larger), which returns one value per column. Prints
+/// one row per run with wall time, events/sec and speedup, checks every
+/// witness against the shards=1 run, and returns the exit code: 0 when
+/// every witness matches.
+inline int shardSweepDemo(
+    const std::vector<DemoColumn>& columns,
+    const std::function<std::vector<double>(std::uint32_t, RunWitness&)>&
+        runOnce) {
+  struct ShardRun {
+    std::uint32_t shards = 0;
+    double wallMs = 0;
+    std::vector<double> cells;
+    RunWitness w;
+  };
+  std::vector<std::uint32_t> shardCounts = {1u, 2u, 4u};
+  if (sim::shardCount() > 4) shardCounts.push_back(sim::shardCount());
+  std::vector<ShardRun> runs;
+  for (std::uint32_t s : shardCounts) {
+    ShardRun r;
+    r.shards = s;
+    const auto t0 = std::chrono::steady_clock::now();
+    r.cells = runOnce(s, r.w);
+    r.wallMs = std::chrono::duration<double, std::milli>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count();
+    runs.push_back(std::move(r));
+  }
+  const ShardRun& base = runs.front();
+  bool deterministic = true;
+  std::printf("%8s %12s %14s", "shards", "wall_ms", "events/sec");
+  for (const DemoColumn& c : columns) std::printf(" %12s", c.name);
+  std::printf(" %10s %10s\n", "speedup", "witness");
+  for (const ShardRun& r : runs) {
+    const bool same = r.w == base.w;
+    deterministic = deterministic && same;
+    std::printf("%8u %12.0f %14.0f", r.shards, r.wallMs,
+                static_cast<double>(r.w.events) / (r.wallMs / 1e3));
+    for (std::size_t i = 0; i < columns.size(); ++i) {
+      std::printf(" %12.*f", columns[i].precision, r.cells[i]);
+    }
+    std::printf(" %9.2fx %10s\n", base.wallMs / r.wallMs,
+                same ? "match" : "DIVERGED");
+    if (!same) {
+      std::printf(
+          "DETERMINISM FAIL at shards=%u: end %lld vs %lld, digest %016llx "
+          "vs %016llx, events %llu vs %llu, windows %llu vs %llu\n",
+          r.shards, static_cast<long long>(r.w.endTime),
+          static_cast<long long>(base.w.endTime),
+          static_cast<unsigned long long>(r.w.nicDigest),
+          static_cast<unsigned long long>(base.w.nicDigest),
+          static_cast<unsigned long long>(r.w.events),
+          static_cast<unsigned long long>(base.w.events),
+          static_cast<unsigned long long>(r.w.windows),
+          static_cast<unsigned long long>(base.w.windows));
+    }
+  }
+  std::printf("determinism across shard counts: %s\n",
+              deterministic ? "OK (witnesses byte-identical)" : "FAILED");
+  if (std::thread::hardware_concurrency() <= 1) {
+    std::printf(
+        "note: single-core host; worker threads time-slice one core, so "
+        "speedup ~= 1.0 here by necessity (see docs/PDES.md)\n");
+  }
+  return deterministic ? 0 : 1;
 }
 
 }  // namespace vibe::bench

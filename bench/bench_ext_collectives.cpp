@@ -5,15 +5,12 @@
 // studies", §1): a collective over N ranks holds N-1 VI pairs per node, so
 // on the firmware model every extra rank taxes every message twice.
 #include <bit>
-#include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <functional>
 #include <memory>
 #include <stdexcept>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -89,33 +86,11 @@ void hcRequire(vipl::VipResult r, const char* what) {
   }
 }
 
-/// Engine-mode witness of one hypercube run (same idiom as
-/// bench_ext_multiclient): virtual end time plus a fold of every node's
-/// NicStats; identical values across shard counts mean identical
-/// per-domain schedules.
-struct HyperWitness {
-  sim::SimTime endTime = 0;
-  std::uint64_t nicDigest = 0;
-  std::uint64_t events = 0;
-  std::uint64_t windows = 0;
-};
-
-std::uint64_t hcFoldNicStats(std::uint64_t acc, const nic::NicStats& s) {
-  for (std::uint64_t v :
-       {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
-        s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
-        s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
-        s.rxOutOfOrderDropped, s.protocolErrors}) {
-    acc = sim::Tracer::combineDigest(acc, v);
-  }
-  return acc;
-}
-
 CollectiveTimes hypercube(const nic::NicProfile& profile,
                           std::uint32_t ranks, std::uint32_t fatTreeK,
                           int reps, std::uint32_t simShards,
                           const harness::PointEnv* penv,
-                          HyperWitness* witness = nullptr) {
+                          bench::RunWitness* witness = nullptr) {
   if (!std::has_single_bit(ranks)) {
     throw std::invalid_argument("hypercube: ranks must be a power of two");
   }
@@ -257,34 +232,8 @@ CollectiveTimes hypercube(const nic::NicProfile& profile,
       }
     });
   }
-  const bool prof =
-      cluster.sharded() && std::getenv("VIBE_PDES_PROFILE") != nullptr;
-  if (prof) cluster.shardedEngine().setProfiling(true);
   cluster.run(std::move(programs));
-  if (prof) {
-    for (const sim::ShardProfile& p :
-         cluster.shardedEngine().shardProfiles()) {
-      std::fprintf(stderr,
-                   "  [prof] shard %u: domains=%u events=%llu active=%llu "
-                   "exec_ms=%.1f barrier_ms=%.1f\n",
-                   p.shard, p.domains,
-                   static_cast<unsigned long long>(p.events),
-                   static_cast<unsigned long long>(p.windowsActive),
-                   p.execNs / 1e6, p.barrierWaitNs / 1e6);
-    }
-  }
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = hcFoldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
-  }
+  if (witness) *witness = bench::witnessOf(cluster);
   return result;
 }
 
@@ -309,7 +258,7 @@ void shardedHypercubeTable() {
       [&](harness::PointEnv& env) {
         const std::uint32_t ranks = counts[env.index];
         return Pair{hypercube(nic::clanProfile(), ranks, 8, 4,
-                              std::max(1u, sim::shardCount()), &env),
+                              sim::shardCount(), &env),
                     hypercube(nic::clanProfile(), ranks, 8, 4, 0, &env)};
       },
       sweepOptions());
@@ -326,60 +275,23 @@ void shardedHypercubeTable() {
 }
 
 #ifndef VIBE_BENCH_LIBRARY
-/// Standalone-only (wall-clock columns cannot be golden): the hypercube
-/// at 4096 ranks on a k=32 fat-tree — 1280 PDES domains — swept over
-/// worker shard counts. Every run must reproduce the shards=1 witness
-/// bit-for-bit; the speedup column is the point of the exercise.
+/// Standalone-only scale demo: the hypercube at 4096 ranks on a k=32
+/// fat-tree — 1280 PDES domains — swept over worker shard counts. Every
+/// run must reproduce the shards=1 witness bit-for-bit; the speedup
+/// column is the point of the exercise.
 int shardedHypercubeDemo() {
   const std::uint32_t ranks = 4096;
   std::printf(
       "\nScale demo: %u-rank hypercube barrier + allreduce, k=32 fat-tree "
       "(4096 hosts, 1280 PDES domains)\n",
       ranks);
-  struct ShardRun {
-    std::uint32_t shards = 0;
-    double wallMs = 0;
-    CollectiveTimes times;
-    HyperWitness w;
-  };
-  std::vector<std::uint32_t> shardCounts = {1u, 2u, 4u};
-  const std::uint32_t hw = std::max(1u, sim::shardCount());
-  if (hw > 4) shardCounts.push_back(hw);
-  std::vector<ShardRun> runs;
-  for (std::uint32_t s : shardCounts) {
-    ShardRun r;
-    r.shards = s;
-    const auto t0 = std::chrono::steady_clock::now();
-    r.times = hypercube(nic::clanProfile(), ranks, 32, 2, s, nullptr, &r.w);
-    r.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    runs.push_back(r);
-  }
-  const ShardRun& base = runs.front();
-  bool deterministic = true;
-  std::printf("%8s %12s %14s %12s %12s %10s %10s\n", "shards", "wall_ms",
-              "events/sec", "barrier_us", "allred_us", "speedup",
-              "witness");
-  for (const ShardRun& r : runs) {
-    const bool same = r.w.endTime == base.w.endTime &&
-                      r.w.nicDigest == base.w.nicDigest &&
-                      r.w.events == base.w.events &&
-                      r.w.windows == base.w.windows;
-    deterministic = deterministic && same;
-    std::printf("%8u %12.0f %14.0f %12.1f %12.1f %9.2fx %10s\n", r.shards,
-                r.wallMs, static_cast<double>(r.w.events) / (r.wallMs / 1e3),
-                r.times.barrierUsec, r.times.allreduceUsec,
-                base.wallMs / r.wallMs, same ? "match" : "DIVERGED");
-  }
-  std::printf("determinism across shard counts: %s\n",
-              deterministic ? "OK (witnesses byte-identical)" : "FAILED");
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf(
-        "note: single-core host; worker threads time-slice one core, so "
-        "speedup ~= 1.0 here by necessity (see docs/PDES.md)\n");
-  }
-  return deterministic ? 0 : 1;
+  return bench::shardSweepDemo(
+      {{"barrier_us", 1}, {"allred_us", 1}},
+      [&](std::uint32_t shards, bench::RunWitness& w) {
+        const CollectiveTimes t =
+            hypercube(nic::clanProfile(), ranks, 32, 2, shards, nullptr, &w);
+        return std::vector<double>{t.barrierUsec, t.allreduceUsec};
+      });
 }
 #endif  // VIBE_BENCH_LIBRARY
 

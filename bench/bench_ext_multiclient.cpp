@@ -8,12 +8,9 @@
 // queue. Aggregate throughput grows until the server side saturates; on
 // the firmware-polling model each additional *VI* also slows every other
 // client down (the Fig. 6 effect applied to a real server shape).
-#include <chrono>
+#include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <functional>
-#include <thread>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -28,37 +25,12 @@ namespace {
 
 using namespace vibe;
 
-/// Engine-mode witness of one incast run: the virtual end time plus a fold
-/// of every node's NicStats. Identical values across shard counts mean the
-/// runs executed the same per-domain schedules, not merely similar ones.
-struct IncastWitness {
-  sim::SimTime endTime = 0;
-  std::uint64_t nicDigest = 0;
-  std::uint64_t events = 0;   // sharded mode: ShardedEngine::executedEvents
-  std::uint64_t windows = 0;  // sharded mode: lockstep windows executed
-};
-
-std::uint64_t foldNicStats(std::uint64_t acc, const nic::NicStats& s) {
-  for (std::uint64_t v :
-       {s.sendsPosted, s.recvsPosted, s.fragsTx, s.fragsRx, s.bytesTx,
-        s.bytesRx, s.acksTx, s.acksRx, s.retransmits, s.rxCorrupted,
-        s.rxDroppedNoDescriptor, s.rxDroppedBadEndpoint,
-        s.rxOutOfOrderDropped, s.protocolErrors}) {
-    acc = sim::Tracer::combineDigest(acc, v);
-  }
-  return acc;
-}
-
 double aggregateTps(const nic::NicProfile& profile, std::uint32_t clients,
-                    int callsPerClient, const harness::PointEnv* penv,
+                    int callsPerClient, const harness::PointEnv& penv,
                     std::uint32_t fatTreeK = 0,
                     sim::Duration connectStagger = 0,
-                    std::uint32_t simShards = 0,
-                    IncastWitness* witness = nullptr) {
-  suite::ClusterConfig cc = penv
-                                ? bench::clusterFor(profile, clients + 1,
-                                                    *penv)
-                                : bench::clusterFor(profile, clients + 1);
+                    std::uint32_t simShards = 0) {
+  suite::ClusterConfig cc = bench::clusterFor(profile, clients + 1, penv);
   cc.fatTreeK = fatTreeK;
   cc.simShards = simShards;
   suite::Cluster cluster(cc);
@@ -96,18 +68,6 @@ double aggregateTps(const nic::NicProfile& profile, std::uint32_t clients,
     });
   }
   cluster.run(std::move(programs));
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = foldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
-  }
   return static_cast<double>(clients) * callsPerClient / elapsedSec;
 }
 
@@ -216,10 +176,9 @@ void shardedIncastTable() {
       counts.size(),
       [&](harness::PointEnv& env) {
         const std::uint32_t clients = counts[env.index];
-        return Pair{aggregateTps(nic::clanProfile(), clients, 2, &env, 8,
-                                 sim::usec(1200),
-                                 std::max(1u, sim::shardCount())),
-                    aggregateTps(nic::clanProfile(), clients, 2, &env, 8,
+        return Pair{aggregateTps(nic::clanProfile(), clients, 2, env, 8,
+                                 sim::usec(1200), sim::shardCount()),
+                    aggregateTps(nic::clanProfile(), clients, 2, env, 8,
                                  sim::usec(1200))};
       },
       sweepOptions());
@@ -241,7 +200,7 @@ void shardedIncastTable() {
 /// so sharding cannot help it; a fleet of group incasts is the shape that
 /// actually spreads load across the 1280 domains.
 double fleetIncast(std::uint32_t groups, std::uint32_t clientsPerGroup,
-                   std::uint32_t simShards, IncastWitness* witness) {
+                   std::uint32_t simShards, bench::RunWitness& witness) {
   const std::uint32_t groupSize = clientsPerGroup + 1;
   constexpr int kCalls = 2;
   suite::ClusterConfig cc =
@@ -285,102 +244,27 @@ double fleetIncast(std::uint32_t groups, std::uint32_t clientsPerGroup,
       ++c;
     }
   }
-  const bool prof =
-      cluster.sharded() && std::getenv("VIBE_PDES_PROFILE") != nullptr;
-  if (prof) cluster.shardedEngine().setProfiling(true);
   cluster.run(std::move(programs));
-  if (prof) {
-    for (const sim::ShardProfile& p :
-         cluster.shardedEngine().shardProfiles()) {
-      std::fprintf(stderr,
-                   "  [prof] shard %u: domains=%u events=%llu active=%llu "
-                   "exec_ms=%.1f barrier_ms=%.1f\n",
-                   p.shard, p.domains,
-                   static_cast<unsigned long long>(p.events),
-                   static_cast<unsigned long long>(p.windowsActive),
-                   p.execNs / 1e6, p.barrierWaitNs / 1e6);
-    }
-  }
-  if (witness) {
-    witness->endTime = cluster.now();
-    std::uint64_t d = 0xcbf29ce484222325ull;
-    for (std::uint32_t n = 0; n < cluster.nodeCount(); ++n) {
-      d = foldNicStats(d, cluster.node(n).device().stats());
-    }
-    witness->nicDigest = d;
-    if (cluster.sharded()) {
-      witness->events = cluster.shardedEngine().executedEvents();
-      witness->windows = cluster.shardedEngine().windowsExecuted();
-    }
-  }
+  witness = bench::witnessOf(cluster);
   return static_cast<double>(groups) * clientsPerGroup * kCalls /
          sim::toSec(cluster.now());
 }
 
-/// Standalone-only (wall-clock columns cannot be golden): 64 concurrent
-/// 63-client incasts on a k=32 fat-tree — 4096 hosts across 1280 PDES
-/// domains — swept over worker shard counts. Every run must reproduce the
-/// shards=1 witness bit-for-bit; the speedup column is the point of the
-/// exercise.
+/// Standalone-only scale demo: 64 concurrent 63-client incasts on a k=32
+/// fat-tree — 4096 hosts across 1280 PDES domains — swept over worker
+/// shard counts. Every run must reproduce the shards=1 witness
+/// bit-for-bit; the speedup column is the point of the exercise.
 int shardedScaleDemo() {
   const std::uint32_t groups = 64, clientsPerGroup = 63;
   std::printf(
       "\nScale demo: %u concurrent %u-client incasts, k=32 fat-tree "
       "(4096 hosts, 1280 PDES domains)\n",
       groups, clientsPerGroup);
-  struct ShardRun {
-    std::uint32_t shards = 0;
-    double wallMs = 0;
-    double tps = 0;
-    IncastWitness w;
-  };
-  std::vector<std::uint32_t> shardCounts = {1u, 2u, 4u};
-  const std::uint32_t hw = std::max(1u, sim::shardCount());
-  if (hw > 4) shardCounts.push_back(hw);
-  std::vector<ShardRun> runs;
-  for (std::uint32_t s : shardCounts) {
-    ShardRun r;
-    r.shards = s;
-    const auto t0 = std::chrono::steady_clock::now();
-    r.tps = fleetIncast(groups, clientsPerGroup, s, &r.w);
-    r.wallMs = std::chrono::duration<double, std::milli>(
-                   std::chrono::steady_clock::now() - t0)
-                   .count();
-    runs.push_back(r);
-  }
-  const ShardRun& base = runs.front();
-  bool deterministic = true;
-  std::printf("%8s %12s %14s %12s %10s %10s\n", "shards", "wall_ms",
-              "events/sec", "tps", "speedup", "witness");
-  for (const ShardRun& r : runs) {
-    const bool same = r.w.endTime == base.w.endTime &&
-                      r.w.nicDigest == base.w.nicDigest &&
-                      r.w.events == base.w.events &&
-                      r.w.windows == base.w.windows;
-    deterministic = deterministic && same;
-    std::printf("%8u %12.0f %14.0f %12.0f %9.2fx %10s\n", r.shards, r.wallMs,
-                static_cast<double>(r.w.events) / (r.wallMs / 1e3), r.tps,
-                base.wallMs / r.wallMs, same ? "match" : "DIVERGED");
-    if (!same) {
-      std::printf(
-          "DETERMINISM FAIL at shards=%u: end %lld vs %lld, digest %016llx "
-          "vs %016llx, events %llu vs %llu\n",
-          r.shards, static_cast<long long>(r.w.endTime),
-          static_cast<long long>(base.w.endTime),
-          static_cast<unsigned long long>(r.w.nicDigest),
-          static_cast<unsigned long long>(base.w.nicDigest),
-          static_cast<unsigned long long>(r.w.events),
-          static_cast<unsigned long long>(base.w.events));
-    }
-  }
-  std::printf("determinism across shard counts: %s\n",
-              deterministic ? "OK (witnesses byte-identical)" : "FAILED");
-  if (std::thread::hardware_concurrency() <= 1) {
-    std::printf(
-        "note: single-core host; worker threads time-slice one core, so "
-        "speedup ~= 1.0 here by necessity (see docs/PDES.md)\n");
-  }
-  return deterministic ? 0 : 1;
+  return bench::shardSweepDemo(
+      {{"tps", 0}}, [&](std::uint32_t shards, bench::RunWitness& w) {
+        return std::vector<double>{
+            fleetIncast(groups, clientsPerGroup, shards, w)};
+      });
 }
 #endif  // VIBE_BENCH_LIBRARY
 
@@ -400,7 +284,7 @@ int run(int, char**) {
         const std::uint32_t clients =
             clientCounts[env.index / profiles.size()];
         const auto& np = profiles[env.index % profiles.size()];
-        return aggregateTps(np.profile, clients, 60, &env);
+        return aggregateTps(np.profile, clients, 60, env);
       },
       sweepOptions());
   for (std::size_t ci = 0; ci < clientCounts.size(); ++ci) {
@@ -439,9 +323,9 @@ int run(int, char**) {
       [&](harness::PointEnv& env) {
         const std::uint32_t clients = bigCounts[env.index];
         return BigPoint{
-            aggregateTps(nic::clanProfile(), clients, 2, &env, 0,
+            aggregateTps(nic::clanProfile(), clients, 2, env, 0,
                          sim::usec(1200)),
-            aggregateTps(nic::clanProfile(), clients, 2, &env, 16,
+            aggregateTps(nic::clanProfile(), clients, 2, env, 16,
                          sim::usec(1200))};
       },
       sweepOptions());

@@ -671,7 +671,7 @@ int run(int argc, char** argv) {
           RunConfig rc;
           rc.loadMult = pdesLoads[env.index];
           rc.policy = shedPolicy;
-          rc.simShards = std::max(1u, sim::shardCount());
+          rc.simShards = sim::shardCount();
           return runServing(rc, &env);
         },
         bench::sweepOptions());

@@ -38,10 +38,6 @@ Network::Network(sim::ShardedEngine& pdes, const NetworkParams& params)
       });
 }
 
-void Network::setSpanProfiler(obs::SpanProfiler* spans) {
-  topo_->setSpanProfiler(spans);
-}
-
 void Network::setReceiver(NodeId node, Receiver rx) {
   receivers_.at(node) = std::move(rx);
 }

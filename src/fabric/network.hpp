@@ -89,12 +89,6 @@ class Network {
   /// be a valid node other than the source (no loopback on the wire).
   void send(Packet&& p);
 
-  /// Attaches a span profiler to every link in the topology plus the
-  /// switch-forwarding hops, so Wire spans tile the whole wire interval
-  /// (host link, each switch hop, each inter-switch link). nullptr
-  /// detaches.
-  void setSpanProfiler(obs::SpanProfiler* spans);
-
   /// Per-node links, exposed for failure injection and utilization stats.
   Link& uplink(NodeId node) { return topo_->hostUplink(node); }
   Link& downlink(NodeId node) { return topo_->hostDownlink(node); }

@@ -426,12 +426,6 @@ Link& Topology::fabricLink(std::size_t i) {
   return *fabricLinks_[i];
 }
 
-void Topology::setSpanProfiler(obs::SpanProfiler* spans) {
-  spans_ = spans;
-  for (auto& [l, d] : linkDomains_) l->setSpanProfiler(spans);
-  for (auto& s : switches_) s->setSpanProfiler(spans);
-}
-
 void Topology::setDomainSpanProfilers(
     const std::vector<obs::SpanProfiler*>& byDomain) {
   if (byDomain.size() != domainCount_) {
@@ -439,7 +433,6 @@ void Topology::setDomainSpanProfilers(
                         std::to_string(byDomain.size()) + " profilers for " +
                         std::to_string(domainCount_) + " domains");
   }
-  spans_ = nullptr;
   for (auto& [l, d] : linkDomains_) l->setSpanProfiler(byDomain[d]);
   for (auto& s : switches_) s->setSpanProfiler(byDomain[s->domain()]);
 }

@@ -203,15 +203,13 @@ class Topology {
   /// Network facade owns the argument checks).
   void inject(Packet&& p);
 
-  /// Attaches a span profiler to every link and switch hop. nullptr
-  /// detaches.
-  void setSpanProfiler(obs::SpanProfiler* spans);
-  obs::SpanProfiler* spanProfiler() const { return spans_; }
-
-  /// Sharded alternative: one profiler per domain (indexed by domain id;
-  /// size must equal domainCount()). Each link and switch attaches its
-  /// owning domain's profiler, so every emit is domain-local and the
-  /// per-domain profilers can be merged deterministically after the run.
+  /// Attaches span profilers to every link and switch hop, so Wire spans
+  /// tile the whole wire interval (host link, each switch hop, each
+  /// inter-switch link). One profiler per domain, indexed by domain id;
+  /// the size must equal domainCount(). Each link and switch takes its
+  /// owning domain's profiler, so every emit is domain-local and
+  /// per-domain profilers can be merged deterministically after a run.
+  /// One domain takes a one-entry vector; nullptr entries detach.
   void setDomainSpanProfilers(const std::vector<obs::SpanProfiler*>& byDomain);
 
   // Link accessors. Every accessor below throws SimError naming the
@@ -285,7 +283,6 @@ class Topology {
   // (link, owner domain) in construction order, for per-domain span
   // attachment; owner = the domain whose engine runs the link's events.
   std::vector<std::pair<Link*, std::uint32_t>> linkDomains_;
-  obs::SpanProfiler* spans_ = nullptr;
 };
 
 }  // namespace vibe::fabric

@@ -1,23 +1,15 @@
 #include "harness/sweep.hpp"
 
 #include <atomic>
-#include <cstdlib>
 #include <exception>
 #include <thread>
 
 #include "obs/metrics.hpp"
+#include "simcore/pdes.hpp"
 
 namespace vibe::harness {
 
-unsigned jobCount() {
-  if (const char* env = std::getenv("VIBE_JOBS")) {
-    char* end = nullptr;
-    const long n = std::strtol(env, &end, 10);
-    if (end != env && n > 0) return static_cast<unsigned>(n);
-  }
-  const unsigned hw = std::thread::hardware_concurrency();
-  return hw > 0 ? hw : 1;
-}
+unsigned jobCount() { return sim::envThreadCount("VIBE_JOBS"); }
 
 namespace detail {
 

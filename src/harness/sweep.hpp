@@ -30,9 +30,10 @@ class MetricsRegistry;
 
 namespace vibe::harness {
 
-/// Worker count for sweeps: the VIBE_JOBS environment variable when set to
-/// a positive integer, otherwise std::thread::hardware_concurrency()
-/// (minimum 1). Read on every call so tests can flip the variable.
+/// Worker count for sweeps: sim::envThreadCount("VIBE_JOBS") — the
+/// variable when set to a positive integer, otherwise
+/// std::thread::hardware_concurrency() (minimum 1). Read on every call so
+/// tests can flip the variable.
 unsigned jobCount();
 
 /// Per-point view handed to a sweep body.

@@ -183,9 +183,9 @@ class Engine {
   void compactIfStale();
   // Debug guard against two sweep shards driving one Engine at once. It is
   // deliberately not a thread-id check: a ShardedEngine drives a domain's
-  // Engine (and resumes its Process fibers) from a fresh worker thread on
-  // every run, so several OS threads legitimately touch the Engine one at
-  // a time. The flag stays set while a fiber runs (the run loop is
+  // Engine (and resumes its Process fibers) from the calling thread or
+  // from a shard thread spawned fresh on every run, so several OS threads
+  // legitimately touch the Engine one at a time. The flag stays set while a fiber runs (the run loop is
   // suspended inside fn(), on the same OS thread), so only genuinely
   // concurrent run()/runWindow() entry trips it.
   struct DriveGuard {

@@ -5,6 +5,7 @@
 #include <chrono>
 #include <cstdlib>
 #include <limits>
+#include <optional>
 #include <string>
 #include <thread>
 #include <utility>
@@ -39,8 +40,8 @@ struct Arrival {
 
 }  // namespace
 
-unsigned shardCount() {
-  if (const char* env = std::getenv("VIBE_SIM_SHARDS")) {
+unsigned envThreadCount(const char* var) {
+  if (const char* env = std::getenv(var)) {
     char* end = nullptr;
     const long n = std::strtol(env, &end, 10);
     if (end != env && n > 0) return static_cast<unsigned>(n);
@@ -48,6 +49,8 @@ unsigned shardCount() {
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? hw : 1;
 }
+
+unsigned shardCount() { return envThreadCount("VIBE_SIM_SHARDS"); }
 
 /// One domain: its engine and the bookkeeping beside it. During a
 /// parallel window each shard writes only its own domains; the trailing
@@ -291,86 +294,82 @@ void ShardedEngine::deliverOutboxes() {
   }
 }
 
-bool ShardedEngine::runWindows(SimTime horizon) {
-  initRunnable();
-  for (;;) {
-    const SimTime t = nextWindowStart(horizon);
-    if (t == kNoEvent) return true;
-    if (t > horizon) return false;
-    Duration eff = lookahead_ > 0 ? lookahead_ : 1;
-    // A single domain has no cross-domain constraint: one window runs the
-    // whole horizon, degenerating to the serial engine.
-    if (domainCountU32_ == 1) eff = kMaxTime;
-    SimTime windowEnd = std::min(satAdd(t, eff), satAdd(horizon, 1));
-    windowEnd = clampToBoundary(t, windowEnd);
-    if (boundaryFlush_) boundaryFlush_(t);
-    windowEnd_ = windowEnd;  // sendAt's conservative check reads this
-    const std::uint64_t w0 = profiling_ ? wallNowNs() : 0;
-    const std::uint64_t executed = execShardWindow(0, windowEnd);
-    if (profiling_) {
-      perShard_[0].execNs += wallNowNs() - w0;
-      if (executed > 0) ++perShard_[0].windowsActive;
-    }
-    deliverOutboxes();
-    ++windows_;
+void ShardedEngine::prepareWindow() {
+  if (abort_.load(std::memory_order_relaxed)) {
+    done_ = true;
+    return;
   }
+  // O(shards) reduce over the heap tops, not an O(domains) rescan.
+  const SimTime t = nextWindowStart(horizon_);
+  if (t == kNoEvent) {
+    drained_ = true;
+    done_ = true;
+    return;
+  }
+  if (t > horizon_) {
+    done_ = true;
+    return;
+  }
+  // A single domain has no cross-domain constraint: one window runs the
+  // whole horizon, degenerating to the serial engine. (lookahead_ is > 0
+  // whenever more than one shard runs; see the constructor.)
+  const Duration eff = domainCountU32_ == 1 ? kMaxTime
+                       : lookahead_ > 0     ? lookahead_
+                                            : 1;
+  SimTime windowEnd = std::min(satAdd(t, eff), satAdd(horizon_, 1));
+  windowEnd = clampToBoundary(t, windowEnd);
+  // Boundary flush runs here, in the single-threaded completion step:
+  // every shard is parked, so the hook may read any domain's state
+  // race-free.
+  if (boundaryFlush_) boundaryFlush_(t);
+  windowEnd_ = windowEnd;  // sendAt's conservative check reads this
 }
 
-bool ShardedEngine::runWindowsParallel(SimTime horizon) {
+bool ShardedEngine::runTo(SimTime horizon) {
+  if (running_) {
+    throw SimError("ShardedEngine: run()/runUntil() entered recursively");
+  }
+  running_ = true;
+  setWindowedMode(true);
   horizon_ = horizon;
   drained_ = false;
   done_ = false;
   abort_.store(false, std::memory_order_relaxed);
   shardErrors_.assign(shards_, nullptr);
-  initRunnable();
 
-  auto prepareWindow = [this]() {
-    if (abort_.load(std::memory_order_relaxed)) {
+  // Completion step: runs on exactly one thread between a window's last
+  // shard step and anyone's release, so the merge and the next window
+  // bounds need no locks — the barrier's happens-before edges carry them
+  // to every shard.
+  auto completeWindow = [this]() noexcept {
+    ++windows_;
+    try {
+      deliverOutboxes();
+      prepareWindow();
+    } catch (...) {
+      // Merge/hook failure (e.g. a throwing boundary flush): surface it
+      // like a shard-0 event failure and wind the run down.
+      if (!shardErrors_[0]) shardErrors_[0] = std::current_exception();
+      abort_.store(true, std::memory_order_relaxed);
       done_ = true;
-      return;
     }
-    // O(shards) reduce over the heap tops, not an O(domains) rescan.
-    const SimTime t = nextWindowStart(horizon_);
-    if (t == kNoEvent) {
-      drained_ = true;
-      done_ = true;
-      return;
-    }
-    if (t > horizon_) {
-      done_ = true;
-      return;
-    }
-    SimTime windowEnd = std::min(satAdd(t, lookahead_), satAdd(horizon_, 1));
-    windowEnd = clampToBoundary(t, windowEnd);
-    // Boundary flush runs here, in the single-threaded completion step:
-    // every worker is parked at the barrier, so the hook may read any
-    // domain's state race-free.
-    if (boundaryFlush_) boundaryFlush_(t);
-    windowEnd_ = windowEnd;
   };
-
-  prepareWindow();
+  try {
+    initRunnable();
+    prepareWindow();
+  } catch (...) {
+    shardErrors_[0] = std::current_exception();
+    done_ = true;
+  }
   if (!done_) {
-    // Completion step: runs on exactly one thread between a window's last
-    // arrival and anyone's release, so the merge and the next window
-    // bounds need no locks — the barrier's happens-before edges carry
-    // them to every worker.
-    auto onWindowDone = [this, &prepareWindow]() noexcept {
-      ++windows_;
-      try {
-        deliverOutboxes();
-        prepareWindow();
-      } catch (...) {
-        // Merge/hook failure (e.g. a throwing boundary flush): surface it
-        // like a shard-0 event failure and wind the pool down.
-        if (!shardErrors_[0]) shardErrors_[0] = std::current_exception();
-        abort_.store(true, std::memory_order_relaxed);
-        done_ = true;
-      }
-    };
-    std::barrier sync(static_cast<std::ptrdiff_t>(shards_),
-                      std::move(onWindowDone));
-    auto worker = [this, &sync](unsigned shard) {
+    // One shard runs on the calling thread with no barrier: it completes
+    // each window itself. More shards add shards_ - 1 threads and a
+    // barrier whose completion step is the same function.
+    std::optional<std::barrier<decltype(completeWindow)>> sync;
+    if (shards_ > 1) {
+      sync.emplace(static_cast<std::ptrdiff_t>(shards_), completeWindow);
+    }
+    auto shardLoop = [this, &sync, &completeWindow](unsigned shard) {
       while (!done_) {
         if (!abort_.load(std::memory_order_relaxed)) {
           try {
@@ -385,16 +384,23 @@ bool ShardedEngine::runWindowsParallel(SimTime horizon) {
             abort_.store(true, std::memory_order_relaxed);
           }
         }
+        if (!sync) {
+          completeWindow();
+          continue;
+        }
         const std::uint64_t b0 = profiling_ ? wallNowNs() : 0;
-        sync.arrive_and_wait();
+        sync->arrive_and_wait();
         if (profiling_) perShard_[shard].barrierWaitNs += wallNowNs() - b0;
       }
     };
     std::vector<std::thread> pool;
-    pool.reserve(shards_);
-    for (unsigned s = 0; s < shards_; ++s) pool.emplace_back(worker, s);
+    pool.reserve(shards_ - 1);
+    for (unsigned s = 1; s < shards_; ++s) pool.emplace_back(shardLoop, s);
+    shardLoop(0);
     for (std::thread& th : pool) th.join();
   }
+  setWindowedMode(false);
+  running_ = false;
 
   // Failure reports are schedule-independent: the lowest shard's
   // exception wins, like the sweep harness's lowest-index rule.
@@ -404,46 +410,15 @@ bool ShardedEngine::runWindowsParallel(SimTime horizon) {
   return drained_;
 }
 
-bool ShardedEngine::runDispatch(SimTime horizon) {
-  setWindowedMode(true);
-  bool drained = false;
-  try {
-    drained =
-        shards_ <= 1 ? runWindows(horizon) : runWindowsParallel(horizon);
-  } catch (...) {
-    setWindowedMode(false);
-    throw;
-  }
-  setWindowedMode(false);
-  return drained;
-}
-
 void ShardedEngine::run() {
-  if (running_) throw SimError("ShardedEngine::run entered recursively");
-  running_ = true;
-  try {
-    runDispatch(kMaxTime);
-  } catch (...) {
-    running_ = false;
-    throw;
-  }
-  running_ = false;
+  runTo(kMaxTime);
   // Global drain-time deadlock check: every domain queue and outbox is
   // empty, so a blocked process can never be signalled again.
   checkDeadlock();
 }
 
 bool ShardedEngine::runUntil(SimTime until) {
-  if (running_) throw SimError("ShardedEngine::runUntil entered recursively");
-  running_ = true;
-  bool drained = false;
-  try {
-    drained = runDispatch(until);
-  } catch (...) {
-    running_ = false;
-    throw;
-  }
-  running_ = false;
+  const bool drained = runTo(until);
   for (Domain& dom : domains_) dom.engine.advanceTo(until);
   if (drained) checkDeadlock();
   return drained;

@@ -30,11 +30,12 @@
 //   domain order, entries in send order. Each destination's insertion
 //   order, and therefore every per-domain output, is then a pure function
 //   of the model: byte-identical for any shard count and any thread
-//   schedule. shards=1 runs the same window loop inline on the calling
-//   thread: no pool, no barrier, no atomics — the exact serial path,
-//   mirroring the harness's VIBE_JOBS=1 contract. A single domain
-//   degenerates to one window covering the whole horizon: the serial
-//   engine, bit for bit.
+//   schedule. Every shard count runs the same window loop: the calling
+//   thread is shard 0, and shards > 1 only add shards - 1 threads and a
+//   barrier. With one shard the calling thread completes each window
+//   itself, mirroring the harness's VIBE_JOBS=1 contract. A single
+//   domain degenerates to one window covering the whole horizon: the
+//   serial engine, bit for bit.
 //
 // Every suite::Cluster runs on this engine: one domain when its
 // simShards is 0, one domain per switch otherwise. Sharding scales a
@@ -55,10 +56,13 @@
 
 namespace vibe::sim {
 
-/// Shard count for sharded engines: the VIBE_SIM_SHARDS environment
-/// variable when set to a positive integer, otherwise
-/// std::thread::hardware_concurrency() (minimum 1). Read on every call
-/// so tests can flip the variable. Mirrors harness::jobCount().
+/// Thread count from environment variable `var`: its value when set to a
+/// positive integer, otherwise std::thread::hardware_concurrency()
+/// (minimum 1). Read on every call so tests can flip the variable.
+unsigned envThreadCount(const char* var);
+
+/// Shard count for sharded engines: envThreadCount("VIBE_SIM_SHARDS").
+/// The sweep harness's jobCount() reads VIBE_JOBS the same way.
 unsigned shardCount();
 
 /// Runtime-profiler snapshot for one shard of a ShardedEngine (see
@@ -85,7 +89,8 @@ struct EngineConfig {
   /// degenerates to one timestamp at a time).
   Duration lookahead = 0;
   /// Worker threads; 0 = shardCount() (VIBE_SIM_SHARDS / hardware).
-  /// Clamped to `domains`. 1 runs inline with no threads.
+  /// Clamped to `domains`. The calling thread is shard 0, so 1 spawns
+  /// no thread.
   unsigned shards = 0;
 };
 
@@ -221,12 +226,17 @@ class ShardedEngine {
   };
 
   void deliverOutboxes();
-  bool runWindows(SimTime horizon);          // serial (shards_ == 1)
-  bool runWindowsParallel(SimTime horizon);  // thread pool + barrier
+  /// The one window loop behind run() and runUntil(): windowed-mode
+  /// bracketing, shard 0 on the calling thread plus shards_ - 1 spawned
+  /// threads meeting at a barrier. Returns true if everything drained.
+  bool runTo(SimTime horizon);
+  /// Opens the next window, or sets done_ (and drained_ when nothing is
+  /// pending). Single-threaded: before the shards start, then from the
+  /// completion step.
+  void prepareWindow();
   SimTime clampToBoundary(SimTime t, SimTime windowEnd) const;
   void setWindowedMode(bool on);
   void checkDeadlock() const;
-  bool runDispatch(SimTime horizon);
   void markOutboxDirty(std::uint32_t src);
   void initRunnable();
   void pushRunnable(std::uint32_t d, SimTime t);
@@ -243,8 +253,8 @@ class ShardedEngine {
   std::uint64_t windows_ = 0;
   bool profiling_ = false;
 
-  // Parallel-run shared state. Written only by the barrier completion
-  // step (or before the pool starts) and read by workers after the
+  // Run state shared by the shards. Written only by the completion step
+  // (or before the shards start) and read by the shards after the
   // barrier releases them, so the barrier's happens-before edges are the
   // only synchronization needed.
   SimTime windowEnd_ = 0;

@@ -10,9 +10,10 @@
 // API (advance / await) while the engine stays a pure discrete-event core
 // underneath.
 //
-// A fiber is not tied to an OS thread: a ShardedEngine starts a fresh
-// worker pool on every run, so a process may be resumed on a different
-// thread than the one it last ran on. Every switch therefore carries the
+// A fiber is not tied to an OS thread: a ShardedEngine runs shard 0 on
+// the calling thread and spawns fresh threads for the other shards on
+// every run, so a process may be resumed on a different thread than the
+// one it last ran on. Every switch therefore carries the
 // fiber's libstdc++ exception state (caught-exception stack, uncaught
 // count) with it, and, in sanitizer builds, tells ASan/TSan about the
 // stack change.

@@ -146,31 +146,22 @@ void Cluster::setSampler(obs::TimeSeriesSampler* sampler,
 
 void Cluster::setSpanProfiler(obs::SpanProfiler* spans) {
   spans_ = spans;
-  if (!sharded()) {
-    for (auto& p : providers_) p->setSpanProfiler(spans);
-    net_->setSpanProfiler(spans);
-    return;
-  }
-  if (spans == nullptr) {
-    for (auto& p : providers_) p->setSpanProfiler(nullptr);
-    net_->setSpanProfiler(nullptr);
-    shadowSpans_.clear();
-    return;
-  }
-  // Per-domain shadows: each provider and switch emits into its own
-  // domain's profiler (single-writer during a window); run() folds them
-  // into the user profiler in domain order, which makes the merged
+  shadowSpans_.clear();
+  // One domain, or detach: every component emits straight into `spans`.
+  // Otherwise per-domain shadows: each provider and switch emits into its
+  // own domain's profiler (single-writer during a window); run() folds
+  // them into the user profiler in domain order, which makes the merged
   // histograms and event buffer shard-count independent.
   fabric::Topology& topo = net_->topology();
-  const std::uint32_t doms = topo.domainCount();
-  shadowSpans_.clear();
-  shadowSpans_.reserve(doms);
-  std::vector<obs::SpanProfiler*> byDomain(doms);
-  for (std::uint32_t d = 0; d < doms; ++d) {
-    auto sp = std::make_unique<obs::SpanProfiler>();
-    sp->setKeepEvents(true);  // mergeFrom copies events if the user keeps
-    byDomain[d] = sp.get();
-    shadowSpans_.push_back(std::move(sp));
+  std::vector<obs::SpanProfiler*> byDomain(topo.domainCount(), spans);
+  if (spans != nullptr && sharded()) {
+    shadowSpans_.reserve(byDomain.size());
+    for (obs::SpanProfiler*& slot : byDomain) {
+      auto sp = std::make_unique<obs::SpanProfiler>();
+      sp->setKeepEvents(true);  // mergeFrom copies events if the user keeps
+      slot = sp.get();
+      shadowSpans_.push_back(std::move(sp));
+    }
   }
   for (std::uint32_t n = 0; n < config_.nodes; ++n) {
     providers_[n]->setSpanProfiler(byDomain[topo.hostDomain(n)]);
@@ -249,14 +240,12 @@ void Cluster::publishStats() {
 
 void Cluster::setTracer(sim::Tracer* tracer) {
   tracer_ = tracer;
-  if (!sharded()) {
+  shadowTracers_.clear();
+  shadowTraceLogs_.clear();
+  // One domain records straight into the user tracer, so its record order
+  // is execution order (golden churn digests pin that order).
+  if (tracer == nullptr || !sharded()) {
     for (auto& p : providers_) p->device().setTracer(tracer);
-    return;
-  }
-  if (tracer == nullptr) {
-    for (auto& p : providers_) p->device().setTracer(nullptr);
-    shadowTracers_.clear();
-    shadowTraceLogs_.clear();
     return;
   }
   // Per-node shadows record everything (the user tracer's enablement is

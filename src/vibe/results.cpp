@@ -2,11 +2,12 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <iomanip>
 #include <ostream>
 #include <sstream>
 #include <stdexcept>
+
+#include "obs/json.hpp"
 
 namespace vibe::suite {
 
@@ -101,46 +102,12 @@ std::string ResultTable::renderCsv(int precision) const {
   return os.str();
 }
 
-namespace {
-void appendJsonString(std::string& out, const std::string& s) {
-  out += '"';
-  for (char ch : s) {
-    switch (ch) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(ch) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", ch);
-          out += buf;
-        } else {
-          out += ch;
-        }
-    }
-  }
-  out += '"';
-}
-
-void appendJsonNumber(std::string& out, double v) {
-  if (std::isnan(v) || std::isinf(v)) {
-    out += "null";
-    return;
-  }
-  char buf[32];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  out += buf;
-}
-}  // namespace
-
 std::string ResultTable::renderJson() const {
-  std::string out = "{\"title\":";
-  appendJsonString(out, title_);
+  std::string out = "{\"title\":\"" + obs::jsonEscape(title_) + "\"";
   out += ",\"columns\":[";
   for (std::size_t c = 0; c < columns_.size(); ++c) {
     if (c) out += ',';
-    appendJsonString(out, columns_[c]);
+    out += '"' + obs::jsonEscape(columns_[c]) + '"';
   }
   out += "],\"rows\":[";
   for (std::size_t r = 0; r < rows_.size(); ++r) {
@@ -148,7 +115,7 @@ std::string ResultTable::renderJson() const {
     out += '[';
     for (std::size_t c = 0; c < columns_.size(); ++c) {
       if (c) out += ',';
-      appendJsonNumber(out, rows_[r][c]);
+      out += obs::jsonNumber(rows_[r][c]);
     }
     out += ']';
   }

@@ -376,7 +376,7 @@ TEST(TreeTopologyTest, WireSpansTileThePathWithPerHopByteCounts) {
   Network net(pdes, np);
   obs::SpanProfiler spans;
   spans.setKeepEvents(true);
-  net.setSpanProfiler(&spans);
+  net.topology().setDomainSpanProfilers({&spans});
   sim::SimTime arrival = -1;
   for (NodeId n = 0; n < 4; ++n) {
     net.setReceiver(n, [&, n](Packet&&) {

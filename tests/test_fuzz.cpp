@@ -7,6 +7,7 @@
 
 #include <cstring>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -68,6 +69,13 @@ struct FuzzParams {
   nic::Reliability rel;
   int messages;
 };
+
+// Without this, gtest prints the params as raw bytes, and those bytes hold
+// the std::string's data pointer: ASLR makes the registered test names
+// differ per run. Prints the same profile_sSEED label as the case name.
+void PrintTo(const FuzzParams& p, std::ostream* os) {
+  *os << p.profile << "_s" << p.seed;
+}
 
 class FuzzStream : public ::testing::TestWithParam<FuzzParams> {};
 

@@ -626,6 +626,47 @@ TEST(PdesStackCluster, SerialAccessors) {
   EXPECT_EQ(cluster.now(), cluster.nodeEngine(0).now());
 }
 
+// Attach, run, detach, run again: the detached run must record nothing
+// more, on the one-domain partition (direct attach) and on the sharded
+// one (per-domain span shadows, per-node trace shadows).
+TEST(PdesStackCluster, DetachedTracerAndSpansRecordNothingMore) {
+  for (std::uint32_t shards : {0u, 2u}) {
+    ClusterConfig cfg;
+    cfg.profile = nic::profileByName("clan");
+    cfg.nodes = kNodes;
+    cfg.fatTreeK = kFatTreeK;
+    cfg.simShards = shards;
+    Cluster cluster(cfg);
+    sim::Tracer tracer(4096);
+    tracer.enableAll();
+    obs::SpanProfiler spans;
+    cluster.setTracer(&tracer);
+    cluster.setSpanProfiler(&spans);
+    auto pingPong = [&](std::uint64_t disc) {
+      Programs programs = idlePrograms();
+      programs[0] = pingPongRequester(13, disc, 77, 4, 1024);
+      programs[13] = pingPongResponder(13, disc, 77, 4, 1024);
+      cluster.run(std::move(programs));
+    };
+    pingPong(kDisc);
+    const std::uint64_t digest = tracer.digest();
+    const std::uint64_t spanCount = spans.totalSpans();
+    EXPECT_NE(digest, sim::Tracer::kDigestSeed) << "shards=" << shards;
+    EXPECT_GT(spanCount, 0u) << "shards=" << shards;
+
+    cluster.setTracer(nullptr);
+    cluster.setSpanProfiler(nullptr);
+    EXPECT_EQ(cluster.tracer(), nullptr);
+    EXPECT_EQ(cluster.spanProfiler(), nullptr);
+    const std::uint64_t fragsBefore = cluster.node(0).device().stats().fragsTx;
+    pingPong(kDisc + 1);
+    EXPECT_GT(cluster.node(0).device().stats().fragsTx, fragsBefore)
+        << "the second run must carry traffic; shards=" << shards;
+    EXPECT_EQ(tracer.digest(), digest) << "shards=" << shards;
+    EXPECT_EQ(spans.totalSpans(), spanCount) << "shards=" << shards;
+  }
+}
+
 // Clearing the sampler also removes the engine's boundary hook, so a
 // later run neither samples nor reaches through the cleared pointer.
 TEST(PdesStackCluster, ClearedSamplerIsNotDriven) {

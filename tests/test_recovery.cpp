@@ -11,6 +11,7 @@
 #include <cstdlib>
 #include <functional>
 #include <memory>
+#include <ostream>
 #include <string>
 #include <vector>
 
@@ -588,6 +589,10 @@ struct SweepCase {
   const char* name;
   WorkloadFn fn;
 };
+
+// Without this, gtest prints the case as raw bytes, and those bytes are the
+// two pointers above: ASLR makes the registered test names differ per run.
+void PrintTo(const SweepCase& c, std::ostream* os) { *os << c.name; }
 
 class RecoverySweep : public ::testing::TestWithParam<SweepCase> {};
 

@@ -494,8 +494,9 @@ TEST(ProcessTest, DeepRecursionFitsOnTheProcessStack) {
   EXPECT_EQ(after, before);
 }
 
-// ShardedEngine starts a new worker pool on every run, so a process on
-// shard 1 is resumed by a different OS thread after each runUntil. Parking
+// ShardedEngine spawns fresh threads for shards >= 1 on every run, so a
+// process on shard 1 is resumed by a different OS thread after each
+// runUntil. Parking
 // inside a catch block across the two runs also moves its exception state.
 TEST(ProcessTest, SurvivesResumptionOnANewWorkerThread) {
   ShardedEngine pdes({.domains = 2, .lookahead = 100, .shards = 2});
